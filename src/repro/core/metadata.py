@@ -26,19 +26,39 @@ from repro.sim.resources import Gate, Lock
 class RecordMeta:
     """Metadata of one record replica in one node."""
 
-    __slots__ = ("sim", "key", "rdlock_owner", "wrlock", "volatile_ts",
-                 "glb_volatile_ts", "glb_durable_ts", "changed")
+    __slots__ = ("sim", "key", "rdlock_owner", "_wrlock", "volatile_ts",
+                 "glb_volatile_ts", "glb_durable_ts", "_changed")
 
     def __init__(self, sim: Simulator, key) -> None:
         self.sim = sim
         self.key = key
         self.rdlock_owner: Timestamp = NULL_TS
-        self.wrlock = Lock(sim, label=f"wrlock:{key}")
         self.volatile_ts: Timestamp = INITIAL_TS
         self.glb_volatile_ts: Timestamp = INITIAL_TS
         self.glb_durable_ts: Timestamp = INITIAL_TS
-        #: Fires whenever any field of this metadata changes.
-        self.changed = Gate(sim, label=f"meta:{key}")
+        # Created on first use (see the properties below): every node
+        # holds a replica of every record, and most are never locked or
+        # waited on.
+        self._wrlock: Optional[Lock] = None
+        self._changed: Optional[Gate] = None
+
+    @property
+    def wrlock(self) -> Lock:
+        """The record's WRLock, created on first access."""
+        lock = self._wrlock
+        if lock is None:
+            lock = self._wrlock = Lock(self.sim, label=f"wrlock:{self.key}")
+        return lock
+
+    @property
+    def changed(self) -> Gate:
+        """Fires whenever any field of this metadata changes; created on
+        first access.  Until then no process can be waiting on it, so the
+        mutators below skip the (empty) fire."""
+        gate = self._changed
+        if gate is None:
+            gate = self._changed = Gate(self.sim, label=f"meta:{self.key}")
+        return gate
 
     # -- obsoleteness (paper "Obsolete" primitive) -------------------------------
 
@@ -64,7 +84,8 @@ class RecordMeta:
             raise ProtocolError("cannot lock with the null timestamp")
         if self.rdlock_owner.is_null or self.rdlock_owner < ts:
             self.rdlock_owner = ts
-            self.changed.fire()
+            if self._changed is not None:
+                self._changed.fire()
             return True
         return False
 
@@ -74,7 +95,8 @@ class RecordMeta:
         Returns whether a release happened."""
         if self.rdlock_owner == ts:
             self.rdlock_owner = NULL_TS
-            self.changed.fire()
+            if self._changed is not None:
+                self._changed.fire()
             return True
         return False
 
@@ -87,7 +109,8 @@ class RecordMeta:
     def _advance(self, field: str, ts: Timestamp) -> None:
         if getattr(self, field) < ts:
             setattr(self, field, ts)
-            self.changed.fire()
+            if self._changed is not None:
+                self._changed.fire()
 
     def set_volatile(self, ts: Timestamp) -> None:
         """The local volatile replica has been updated by write *ts*."""
