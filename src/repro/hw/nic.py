@@ -120,7 +120,7 @@ class BaselineNic:
         packet = Packet(payload=envelope, size_bytes=envelope.size_bytes,
                         src=self._host_name, dst=self.endpoint,
                         kind="pcie")
-        self._pcie_up.send(packet, self.from_host)
+        self._pcie_up.post(packet, self.from_host)
 
     # -- crash semantics --------------------------------------------------------
 
@@ -202,4 +202,4 @@ class BaselineNic:
                           size_bytes=packet.size_bytes,
                           src=self.endpoint, dst=self._host_name,
                           kind="pcie")
-            self._pcie_down.send(down, self._host_inbox)
+            self._pcie_down.post(down, self._host_inbox)

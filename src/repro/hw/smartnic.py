@@ -150,14 +150,14 @@ class SmartNic:
         packet = Packet(payload=envelope, size_bytes=envelope.size_bytes,
                         src=self._host_name, dst=self.endpoint,
                         kind="pcie")
-        self._pcie_up.send(packet, self.from_host)
+        self._pcie_up.post(packet, self.from_host)
 
     def send_to_host(self, payload: Any, size_bytes: int) -> None:
         """SNIC -> host message over PCIe (e.g. the batched ACK)."""
         packet = Packet(payload=payload, size_bytes=size_bytes,
                         src=self.endpoint, dst=self._host_name,
                         kind="pcie")
-        self._pcie_down.send(packet, self._host_inbox)
+        self._pcie_down.post(packet, self._host_inbox)
 
     # -- SNIC -> network messaging -----------------------------------------------
 

@@ -19,6 +19,16 @@ Performance notes (the kernel bounds every experiment's wall-clock):
   calendar entry — only allocation traffic — and can be disabled by
   setting :attr:`timeout_pooling` to ``False`` (the perf-regression tests
   assert the calendar is identical either way).
+* Entries that would fire no callback are never scheduled.  A process
+  that finishes with nobody joined marks itself done without a
+  completion entry (a later join finds it processed and resumes at
+  once), and :meth:`repro.sim.network.Port.post` transmits without the
+  end-of-serialization sleep that fire-and-forget senders discard.
+  Such an entry runs no code at its time, and the remaining entries
+  keep their relative ``(time, seq)`` order, so the event order is
+  unchanged; only :attr:`events_processed` falls.  The one exception is
+  a join in the zero-delay gap between a process's finish and its old
+  completion entry: it now resumes at once instead of at that entry.
 * All scheduling funnels through :meth:`_schedule_event`.  Tests that need
   to record the calendar assign :attr:`Simulator.schedule_observer` — a
   ``(event, delay)`` callable invoked on every push — instead of wrapping

@@ -141,6 +141,16 @@ class Port:
         Returns an event that fires when serialization at this port is done
         (i.e., when the sender may consider the message handed off).
         """
+        return self.sim.sleep(self.post(packet, mailbox), value=packet)
+
+    def post(self, packet: Packet, mailbox: Mailbox) -> float:
+        """Transmit *packet* to *mailbox*, fire and forget.
+
+        Same claim and delivery as :meth:`send`, without the event for the
+        end of serialization: a caller that never waits on it would leave
+        a calendar entry that fires no callback.  Returns the seconds until
+        serialization at this port is done.
+        """
         packet.sent_at = self.sim.now
         done, wait = self._claim(packet.size_bytes)
         self.packets_sent += 1
@@ -148,7 +158,7 @@ class Port:
         if self.obs is not None:
             self.obs.net_packet(self.name, packet.kind, packet.size_bytes)
         self._deliver(packet, mailbox, done + self.latency)
-        return self.sim.sleep(wait, value=packet)
+        return wait
 
     def transfer(self, size_bytes: int) -> Event:
         """Claim the port for a raw transfer (e.g. a DMA) with no mailbox

@@ -73,7 +73,14 @@ class Process(Event):
             else:
                 target = self._throw(trigger._exc)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody has joined: the completion entry would fire no
+                # callback, so none is scheduled.  The process is done at
+                # once, and a later join (callbacks None) resumes at once.
+                self._value = stop.value
+                self.callbacks = None
             return
         except BaseException as exc:
             if sim.strict:

@@ -111,6 +111,28 @@ class TestPort:
         assert port.packets_sent == 2
         assert port.bytes_sent == 128
 
+    def test_post_schedules_only_the_delivery(self, sim):
+        """post() claims the port like send() but puts no serialization
+        event on the calendar: one push per packet, the delivery."""
+        posting, sending = make_port(sim, gap=5e-7), make_port(sim, gap=5e-7)
+        box = Mailbox(sim, "d")
+        pushed = []
+        sim.schedule_observer = lambda event, delay: pushed.append(delay)
+        wait = posting.post(Packet(payload="p", size_bytes=1000, src="a",
+                                   dst="d"), box)
+        assert wait == pytest.approx(1e-6)
+        assert pushed == [pytest.approx(1.1e-6)]
+        sending.send(Packet(payload="s", size_bytes=1000, src="a",
+                            dst="d"), box)
+        assert len(pushed) == 3  # delivery + serialization sleep
+        # The claim is the same: the next packet queues behind the first.
+        assert posting.post(Packet(payload="q", size_bytes=1000, src="a",
+                                   dst="d"), box) \
+            == pytest.approx(2.5e-6)
+        assert posting.packets_sent == 2 and posting.bytes_sent == 2000
+        sim.run()
+        assert [packet.payload for packet in box._items] == ["p", "s", "q"]
+
 
 class TestNetwork:
     def test_end_to_end_send(self, sim):

@@ -88,3 +88,43 @@ class TestProcess:
             yield  # pragma: no cover
 
         assert sim.run_process(instant()) == "now"
+
+    def test_unjoined_finish_leaves_no_calendar_entry(self, sim):
+        """A process that ends with nobody joined schedules nothing; a
+        later join resumes at once with its value."""
+        def child():
+            yield sim.timeout(1)
+            return "done"
+
+        process = sim.spawn(child())
+        sim.run()
+        pushed = []
+        sim.schedule_observer = lambda event, delay: pushed.append(event)
+        assert sim.events_processed == 2  # bootstrap + timeout only
+        assert process.triggered and process.value == "done"
+        assert process.callbacks is None
+
+        def joiner():
+            value = yield process
+            return (sim.now, value)
+
+        joined = sim.spawn(joiner())
+        sim.run()
+        assert joined.value == (1, "done")
+        # Only the joiner's bootstrap: the join itself took no entry.
+        assert len(pushed) == 1
+
+    def test_joined_finish_still_wakes_joiner_through_calendar(self, sim):
+        def child():
+            yield sim.timeout(1)
+            return 7
+
+        pushed = []
+        sim.schedule_observer = lambda event, delay: pushed.append(event)
+
+        def parent():
+            return (yield sim.spawn(child()))
+
+        assert sim.run_process(parent()) == 7
+        # Two bootstraps, the timeout, and the child's completion event.
+        assert len(pushed) == 4
