@@ -268,18 +268,25 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
     # Post-run probes: read every workload key on every alive node.
     # They join the history, so the linearizability check covers the
     # recovered state; after a crash they additionally feed the
-    # post-recovery read rules.
+    # post-recovery read rules.  Each probe is bounded by *max_time*
+    # simulated (the heartbeat loops never let the calendar drain); an
+    # unanswered one stays pending and is reported as a liveness
+    # violation naming its key and node.
     probes = []
+    stuck: List[Tuple[Any, int]] = []
     for node in cluster.nodes:
         if node.engine.crashed:
             continue
         for key in workload.key_names:
             rec = recorder.invoke(f"probe-n{node.node_id}", "read",
                                   key=key)
-            result = sim.run_process(
-                node.engine.client_read(key),
-                name=f"check.probe.n{node.node_id}.{key}")
-            recorder.respond_read(rec, result)
+            probe = sim.spawn(node.engine.client_read(key),
+                              name=f"check.probe.n{node.node_id}.{key}")
+            sim.run_until(probe, limit=sim.now + max_time)
+            if not probe.triggered:
+                stuck.append((key, node.node_id))
+                continue
+            recorder.respond_read(rec, probe.value)
             probes.append(rec)
 
     history = recorder.history()
@@ -313,6 +320,12 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
         fail_kind, fail_detail = "liveness", \
             f"workload did not complete within {max_time:.6g}s simulated"
         violations.append(fail_detail)
+    for key, node_id in stuck:
+        detail = (f"[liveness] probe read of key={key!r} on n{node_id} "
+                  f"did not answer within {max_time:.6g}s simulated")
+        violations.append(detail)
+        if fail_kind is None:
+            fail_kind, fail_key, fail_detail = "liveness", key, detail
     durability_ok = True
     if crash_time:
         if disaster:

@@ -4,7 +4,7 @@
 resolves the ⟨consistency, persistency, arch⟩ triple against a
 ``repro-protocol-graph/1`` document and produces a
 :class:`CompiledDispatch` — the per-channel message→handler table with
-the model facts the specializer constant-folds from.
+the model facts a compiled engine reads as ``self.model``.
 
 Everything here reads the *graph*, never the live engines or
 :class:`~repro.core.model.DDPModel` policy properties: the seeded-mutant
@@ -20,14 +20,14 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import CompileError, TripleNotInGraph
 
-#: The network channel the specialized handlers flatten.  The PCIe
+#: The network channel the compiled dispatch table covers.  The PCIe
 #: channels of the offload arch have one-type or single-handler loops;
 #: only ``net`` carries the full per-model dispatch.
 NET_CHANNEL = "net"
 
-#: Model facts the specializer folds; a graph model entry missing any
-#: of these is rejected (a silently unfolded guard would defeat the
-#: mutant gate).
+#: Model facts a compiled engine reads from the graph; a graph model
+#: entry missing any of these is rejected (a fact silently taken from
+#: the live model would defeat the mutant gate).
 REQUIRED_FACTS = (
     "client_waits_for_persist", "is_eventual_consistency",
     "persist_in_critical_path", "persistency_spin_on_obsolete",
@@ -68,8 +68,8 @@ class CompiledDispatch:
     """Flat dispatch for one ⟨model, arch⟩ on one channel.
 
     ``table`` maps message-type name → the entry handler the graph's
-    dispatch table names for it; ``facts`` carries the folded model
-    facts (the graph's policy props plus ``consistency``/``persistency``
+    dispatch table names for it; ``facts`` carries the graph's model
+    facts (its policy props plus ``consistency``/``persistency``
     strings).  Frozen and tuple-backed so it is hashable and safe to
     share across clusters.
     """
@@ -85,9 +85,6 @@ class CompiledDispatch:
             if name == msg_type:
                 return target
         return None
-
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.table)
 
     def facts_dict(self) -> Dict[str, Any]:
         return dict(self.facts)
@@ -155,7 +152,7 @@ def compile_protocol(model: Any, config: Any = None, *,
     missing = [name for name in REQUIRED_FACTS if name not in props]
     if missing:
         raise CompileError(
-            f"graph model {model_name!r} lacks folded facts: {missing}")
+            f"graph model {model_name!r} lacks model facts: {missing}")
     facts = dict(props)
     facts["consistency"] = entry.get("consistency")
     facts["persistency"] = entry.get("persistency")

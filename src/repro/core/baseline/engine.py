@@ -31,22 +31,6 @@ from repro.sim.kernel import Simulator
 
 P = Persistency
 
-#: Hot-path methods :mod:`repro.compile` re-emits with model/config
-#: branches folded and helper generators inlined.  ``_handle_message``
-#: is not listed: the compiler *generates* it from the protocol graph's
-#: dispatch table instead of transforming this module's source.
-COMPILED_METHODS = (
-    "client_write", "client_read", "client_persist",
-    "_client_write_eventual", "_ec_follower_inv",
-    "_deposit_fanout", "_deposit_invs", "_deposit_vals",
-    "_val_rebroadcast",
-    "_coordinator_finish", "_renf_finish",
-    "_handle_ack", "_answer_duplicate",
-    "_ack_obsolete", "_follower_inv", "_follower_ack_updated",
-    "_renf_follower_persist", "_eventual_persist",
-    "_follower_val", "_follower_persist",
-)
-
 
 class BaselineEngine(EngineBase):
     """Per-node MINOS-B protocol engine."""

@@ -27,11 +27,6 @@ from repro.metrics.stats import Metrics
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 
-#: :class:`EngineBase` methods shared by both arches that
-#: :mod:`repro.compile` also specializes (their persistency branches
-#: fold the same way the arch-specific ones do).
-COMPILED_BASE_METHODS = ("handle_obsolete", "client_complete_event")
-
 
 @dataclass(slots=True)
 class WriteResult:
@@ -100,6 +95,13 @@ class WriteTxn:
         #: Filled by the engine for the Fig. 4 communication accounting.
         self.inv_deposited_at: Optional[float] = None
         self.last_ack_at: Optional[float] = None
+        if not self.expected:
+            # Every peer was excluded when the write began: no ACK can
+            # arrive and no later exclusion re-checks, so the ACK
+            # conditions hold now (else the write holds its RDLock
+            # forever).
+            for bucket, event in self._buckets():
+                self._check(bucket, event)
 
     @property
     def followers(self) -> int:

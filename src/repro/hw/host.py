@@ -54,5 +54,9 @@ class Host:
             self.cores.release()
 
     def sync_op(self) -> Generator:
-        """One synchronization operation (compare-and-swap) on the host."""
-        yield from self.compute(self.params.host.sync_latency)
+        """One synchronization operation (compare-and-swap) on the host.
+
+        Returns the :meth:`compute` generator itself rather than
+        wrapping it: ``yield from host.sync_op()`` then runs one frame
+        instead of two."""
+        return self.compute(self.params.host.sync_latency)

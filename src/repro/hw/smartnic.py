@@ -139,8 +139,9 @@ class SmartNic:
         return self.sim.sleep(self.params.snic.coherence_access)
 
     def sync_op(self) -> Generator:
-        """One synchronization op (compare-and-swap) on the SNIC."""
-        yield from self.compute(self.params.snic.sync_latency)
+        """One synchronization op (compare-and-swap) on the SNIC (the
+        :meth:`compute` generator itself, as :meth:`Host.sync_op`)."""
+        return self.compute(self.params.snic.sync_latency)
 
     # -- host <-> SNIC messaging ----------------------------------------------
 

@@ -245,9 +245,18 @@ class Simulator:
         if until is not None:
             self._now = until
 
-    def run_until(self, event: Event) -> None:
-        """Run until *event* triggers (or the calendar drains)."""
-        while self._queue and not event.triggered:
+    def run_until(self, event: Event, limit: Optional[float] = None) -> None:
+        """Run until *event* triggers (or the calendar drains).
+
+        With *limit*, also stop before the first entry due after that
+        simulated time, advancing the clock to *limit* — the bound for
+        waits that background processes (heartbeats) would otherwise
+        keep spinning forever."""
+        queue = self._queue
+        while queue and not event.triggered:
+            if limit is not None and queue[0][0] > limit:
+                self._now = limit
+                return
             self._step()
 
     def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:

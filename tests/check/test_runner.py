@@ -13,6 +13,7 @@ import pytest
 from repro import MINOS_B, MINOS_O, run_check
 from repro.cli import main
 from repro.errors import ConfigError
+from repro.hw.params import us
 
 QUICK = dict(nodes=3, ops_per_client=8, seeds=1, crash_trials=1)
 
@@ -124,6 +125,34 @@ class TestMutationCatches:
         with open(exported[0], encoding="utf-8") as handle:
             trace = json.load(handle)
         assert trace["traceEvents"], "Perfetto trace must be non-empty"
+
+
+def never_answers(engine, key):
+    """A read that waits on an event nobody fires."""
+    yield engine.sim.event()
+
+
+class TestLiveness:
+    def test_unanswered_probe_is_a_liveness_violation(self, monkeypatch):
+        """A probe read that never returns is bounded by max_time and
+        reported against its key and node instead of spinning on the
+        heartbeats forever."""
+        from repro.core.baseline.engine import BaselineEngine
+
+        monkeypatch.setattr(BaselineEngine, "client_read", never_answers)
+        report = run_check(model="synch", config=MINOS_B, nodes=3, keys=2,
+                           ops_per_client=4, write_fraction=1.0, seeds=1,
+                           crash_points="none", max_time=us(2_000),
+                           engine_mode="interpreted")
+        assert not report.ok
+        counterexample = report.counterexample
+        assert counterexample.kind == "liveness"
+        assert counterexample.key is not None
+        assert "probe read" in counterexample.detail
+        assert "on n0" in counterexample.detail
+        run = report.runs[0]
+        assert run.completed, "only the probes may hang"
+        assert run.pending == 2 * 3
 
 
 class TestCli:

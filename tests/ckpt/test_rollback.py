@@ -60,6 +60,18 @@ class TestWholeClusterRollback:
         assert report.ok, (report.counterexample.detail
                            if report.counterexample else report.to_dict())
 
+    def test_survivor_write_begun_with_every_peer_excluded(self):
+        """Regression: survivor n0 coordinated a write while both
+        victims were excluded, so it expected no ACK and used to hold
+        its RDLock forever — the post-restore probe read never
+        returned."""
+        report = run_check(model="synch", config="MINOS-B", nodes=3,
+                           victims=2, seeds=1, base_seed=5,
+                           ops_per_client=32,
+                           checkpoints=CheckpointConfig(watermark=8))
+        assert report.ok, (report.counterexample.detail
+                           if report.counterexample else report.to_dict())
+
     def test_rejects_more_victims_than_nodes(self):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):

@@ -2,14 +2,14 @@
 
 A compiler that ignored its IR and simply re-derived behavior from the
 live engines would pass every calendar-identity test vacuously.  These
-mutants prove the generated engines really are a function of the graph
+mutants prove the compiled engines really are a function of the graph
 (mirroring ``tests/analysis/test_flow_mutants.py`` one layer up):
 
 * corrupting a dispatch-table entry must be rejected loudly
   (:class:`~repro.errors.CompileError` — never a silent fallback), and
-* flipping a constant-folded model fact must change the compiled
-  engine's behavior, which the calendar-identity harness then catches
-  as a divergence from the interpreted reference.
+* flipping a model fact the compiled engine reads from the graph must
+  change its behavior, which the calendar-identity harness then
+  catches as a divergence from the interpreted reference.
 
 Every mutation is applied to a deep copy of the real graph and asserts
 its anchor exists first, so a schema drift fails the test rather than
@@ -112,8 +112,9 @@ def test_missing_dispatch_type_is_rejected(graph):
 
 
 def test_missing_folded_fact_is_rejected(graph):
-    """A model entry missing a constant-folded guard's fact must refuse
-    to compile — folding from a default would defeat this gate."""
+    """A model entry missing a guard's fact must refuse to compile —
+    taking it from a default or the live model would defeat this
+    gate."""
 
     def corrupt(doc):
         entry = next(m for m in doc["models"] if m["name"] == "LIN_SYNCH")
@@ -125,7 +126,7 @@ def test_missing_folded_fact_is_rejected(graph):
 
 
 def test_flipped_persistency_fact_diverges(graph):
-    """Flipping ``persist_in_critical_path`` mis-folds the coordinator's
+    """Flipping ``persist_in_critical_path`` mis-steers the coordinator's
     critical-path guard; the calendar harness must catch it."""
 
     def corrupt(doc):

@@ -83,6 +83,14 @@ class TestExclusion:
         txn.exclude(99)
         assert not txn.all_acks.triggered
 
+    def test_txn_with_every_peer_excluded_completes_at_birth(self, sim):
+        """A write begun while every peer is excluded expects no ACK;
+        its ACK conditions hold at once instead of never."""
+        txn = WriteTxn(sim, 1, "k", Timestamp(1, 0), expected=[])
+        assert txn.all_acks.triggered
+        assert txn.all_ack_cs.triggered
+        assert txn.all_ack_ps.triggered
+
     def test_followers_property(self, sim):
         txn = WriteTxn(sim, 1, "k", Timestamp(1, 0), expected=[1, 2, 3])
         assert txn.followers == 3

@@ -84,6 +84,26 @@ class TestRunProcess:
         assert sim.run_process(proc()) == 5
         assert sim.now == 5
 
+    def test_run_until_limit_bounds_a_wait_heartbeats_keep_alive(self, sim):
+        def heartbeat():
+            while True:
+                yield sim.timeout(1)
+
+        never = sim.event()
+        sim.spawn(heartbeat())
+        sim.run_until(never, limit=7.5)
+        assert not never.triggered
+        assert sim.now == 7.5
+
+        # A wait that finishes inside the limit stops at its completion.
+        def sleeper():
+            yield sim.timeout(1.25)
+
+        done = sim.spawn(sleeper())
+        sim.run_until(done, limit=100)
+        assert done.triggered
+        assert sim.now == 8.75
+
     def test_determinism_two_identical_sims(self):
         def experiment():
             sim = Simulator()
