@@ -111,6 +111,7 @@ _EXPORTS = {
     "write_chrome_trace": "repro.obs",
     "write_jsonl": "repro.obs",
     "validate_chrome_trace": "repro.obs",
+    "timeline": "repro.obs",
     "OpResult": "repro.cluster.results",
     "Metrics": "repro.metrics.stats",
     "run_analysis": "repro.analysis",
@@ -120,8 +121,6 @@ _EXPORTS = {
     "Node": "repro.cluster",
     "Breakdown": "repro.metrics",
     "write_breakdown": "repro.metrics",
-    "TraceEvent": "repro.trace",
-    "Tracer": "repro.trace",
     "MEDIA_LOGIN": "repro.workloads",
     "SOCIAL_LOGIN": "repro.workloads",
     "Op": "repro.workloads",

@@ -23,9 +23,8 @@ FlowGraph` (built once per run via ``project.shared``) and check the
 * **flow-meta-race** — an unmediated raw metadata access conflicts with
   another handler's access to the same field and the two handlers are
   not ordered by happens-before (program order + message edges) in the
-  combined flow digraph.  Supersedes the intraprocedural ``meta-race``
-  pairing (now a non-gating warning), which could not see ordering
-  through message delivery.
+  combined flow digraph.  Replaced the intraprocedural ``meta-race``
+  pairing, which could not see ordering through message delivery.
 """
 
 from __future__ import annotations

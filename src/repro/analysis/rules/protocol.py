@@ -7,7 +7,9 @@ verification conditions are all statements about who may touch which
 field when.  This rule statically extracts, for every handler in
 ``core/baseline/engine.py`` and ``core/offload/engine.py``, the
 read/write sets over those fields (mapped through the sanctioned
-:class:`RecordMeta` accessors) and enforces three disciplines:
+:class:`RecordMeta` accessors), emits the full per-handler table (both
+engines, with the baseline-vs-offload diff) under ``metadata_access``
+in ``repro lint --json``, and enforces two disciplines:
 
 * **meta-direct-write** — the four fields may be mutated *only* through
   the ``RecordMeta`` methods (``set_volatile``, ``set_glb_volatile``,
@@ -23,19 +25,15 @@ read/write sets over those fields (mapped through the sanctioned
   ``local_persist_done`` / a dFIFO entry's ``drained``), or a dispatch
   test on ``MsgType.VAL``/``VAL_P`` (the coordinator's durability
   attestation).
-* **meta-race** — a raw (non-accessor) field access must be mediated:
-  inside the record's WRLock critical section, or inside a vFIFO/dFIFO
-  drain callback (serialized by the FIFO worker).  Conflicting handler
-  pairs whose accesses lack mediation are reported — the static mirror
-  of the model checker's Table I race conditions — and the full
-  per-handler table (both engines, with the baseline-vs-offload diff)
-  is emitted under ``metadata_access`` in ``repro lint --json``.
 
-``meta-durable-without-log`` and ``meta-race`` are emitted as
-non-gating *warnings*: their single-function view is superseded by the
-interprocedural ``flow-durable-order`` and ``flow-meta-race`` rules
-(:mod:`repro.analysis.rules.flow`), which track witnesses and
-happens-before ordering across function boundaries and gate instead.
+``meta-durable-without-log`` is emitted as a non-gating *warning*: the
+interprocedural ``flow-durable-order`` rule
+(:mod:`repro.analysis.rules.flow`) tracks witnesses across function
+boundaries and gates instead.  It stays because it still flags an
+unwitnessed advance in a handler no client entry point reaches, which
+the flow rule does not look at.  Races on raw field accesses are the
+interprocedural ``flow-meta-race`` rule's job; each access's WRLock /
+FIFO-drain mediation is still computed here (:func:`_scan_engine`).
 """
 
 from __future__ import annotations
@@ -385,12 +383,11 @@ def build_access_table(project: Project) -> Dict[str, object]:
 @rule
 class MetadataAccessRule(Rule):
     id = "protocol"
-    title = "RecordMeta access discipline and static race report"
+    title = "RecordMeta access discipline and access table"
 
     def check(self, project: Project) -> Iterator[Finding]:
         yield from self._check_direct_writes(project)
         yield from self._check_durable_without_log(project)
-        yield from self._check_races(project)
 
     # -- meta-direct-write: project-wide ------------------------------------
 
@@ -466,43 +463,6 @@ class MetadataAccessRule(Rule):
                                     "path — violates Table I "
                                     "persistency ordering",
                             severity="warning")
-
-    # -- meta-race ----------------------------------------------------------
-
-    def _check_races(self, project: Project) -> Iterator[Finding]:
-        for module in project.modules:
-            if module.package_rel not in ENGINE_FILES:
-                continue
-            handlers = _scan_engine(module)
-            unmediated = [
-                (qualified, handler, access)
-                for qualified, handler in handlers.items()
-                for access in handler.accesses
-                if access.via == "raw" and access.mediation == "none"
-            ]
-            for qualified, handler, access in unmediated:
-                # Conflicting partner: any other handler touching the
-                # same field (write-write or read-write).
-                partners = sorted(
-                    other_name
-                    for other_name, other in handlers.items()
-                    if other_name != qualified
-                    and any(a.fieldname == access.fieldname
-                            and (a.mode == "write"
-                                 or access.mode == "write")
-                            for a in other.accesses))
-                if not partners:
-                    continue
-                yield Finding(
-                    rule="meta-race", path=module.rel, line=access.line,
-                    symbol=qualified,
-                    message=f"unmediated raw {access.mode} of "
-                            f"{access.fieldname} races with "
-                            f"{', '.join(partners[:3])}"
-                            f"{'…' if len(partners) > 3 else ''} — "
-                            f"needs WRLock, vFIFO serialization, or a "
-                            f"RecordMeta accessor (Table I)",
-                    severity="warning")
 
     def tables(self, project: Project) -> Dict[str, object]:
         return {"metadata_access": build_access_table(project)}

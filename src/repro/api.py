@@ -60,7 +60,8 @@ The surface, by theme:
   :class:`LogHistogram`, the :class:`Span` / :class:`Segment` records,
   and the exporters :func:`chrome_trace` / :func:`write_chrome_trace`
   (Perfetto-loadable) / :func:`write_jsonl` with
-  :func:`validate_chrome_trace` (see docs/observability.md).
+  :func:`validate_chrome_trace`, and the text swim-lane view
+  :func:`timeline` (see docs/observability.md).
 * **Results** — :class:`OpResult`, :class:`ExperimentResult`,
   :class:`Metrics`, :class:`Timestamp`.
 * **Static analysis** — :func:`run_analysis` (the ``repro lint`` pass
@@ -105,8 +106,9 @@ from repro.faults import (CrashWindow, DisasterSpec, FaultPlan,
 from repro.hw.params import DEFAULT_MACHINE, MachineParams, us
 from repro.metrics.stats import Metrics
 from repro.obs import (LogHistogram, MetricsRegistry, Observability,
-                       Segment, Span, chrome_trace, validate_chrome_trace,
-                       write_chrome_trace, write_jsonl)
+                       Segment, Span, chrome_trace, timeline,
+                       validate_chrome_trace, write_chrome_trace,
+                       write_jsonl)
 from repro.shard import (HashRing, ShardedResult, ShardedRunConfig,
                          ShardRouter, run_sharded)
 from repro.verify import ModelChecker, ProtocolSpec, WriteDef
@@ -194,6 +196,7 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "validate_chrome_trace",
+    "timeline",
     # results
     "OpResult",
     "Metrics",

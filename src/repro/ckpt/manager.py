@@ -2,7 +2,7 @@
 
 :class:`CheckpointManager` drives two truncation mechanisms over the
 engines' ``ckpt`` attachment point (same post-construction pattern as
-the tracer / obs / robustness hooks — ``None`` keeps every hook at one
+the obs / robustness hooks — ``None`` keeps every hook at one
 attribute check, so checkpointing-off runs keep a byte-identical event
 calendar):
 
@@ -234,7 +234,6 @@ class CheckpointManager:
                 if line.round_id == round_id:
                     line.serials[engine.node_id] = log.checkpoint_serial
                     break
-        engine.trace("ckpt", "fence", round=round_id, truncated=truncated)
         if engine.obs is not None:
             engine.obs.inc(engine.node_id, "log_truncated_entries",
                            truncated)

@@ -104,8 +104,6 @@ class BaselineEngine(EngineBase):
         for _ in range(policy.val_resends):
             yield self.sim.timeout(delay)
             self.metrics.counters.val_rebroadcasts += 1
-            self.trace("robust", "VAL rebroadcast", type=msg.type.name,
-                       write_id=msg.write_id)
             if self.obs is not None:
                 self.obs.seg_begin(self.node_id, msg.write_id,
                                    "val_rebroadcast")
@@ -162,8 +160,6 @@ class BaselineEngine(EngineBase):
         # recorder must not shift the write ids an unobserved run assigns.
         write_id = self.sim.next_write_id()
         self.metrics.counters.writes_started += 1
-        if self.tracer is not None:
-            self.trace("write", "start", key=key)
         if self.obs is not None:
             self.obs.op_begin(self.node_id, "write", write_id, key=key)
             self.obs.seg_begin(self.node_id, write_id, "lock_acquire")
@@ -198,8 +194,6 @@ class BaselineEngine(EngineBase):
                                      write_id=write_id))
             txn = self.register_txn(key, ts, msg.write_id)
             txn.inv_deposited_at = self.sim.now
-            if self.tracer is not None:
-                self.trace("write", "INVs deposited", key=key, ts=ts)
             if self.obs is not None:
                 self.obs.seg_begin(self.node_id, write_id, "inv_fanout")
             yield from self._deposit_invs(msg)  # line 11: send INVs
@@ -236,9 +230,6 @@ class BaselineEngine(EngineBase):
                 name=self._persist_name)
         yield from self._coordinator_finish(txn, meta, key, ts, scope)
         latency = self.record_write_metrics(txn, started)
-        if self.tracer is not None:
-            self.trace("write", "complete", key=key, ts=ts,
-                       latency_s=latency)
         if self.obs is not None:
             self.obs.op_end(self.node_id, write_id)
         return WriteResult(key, ts, False, latency, write_id=write_id)
@@ -247,8 +238,6 @@ class BaselineEngine(EngineBase):
         """Logical durability point: append to the NVM log."""
         self.kv.persist(key, value, ts, scope=scope)
         self.metrics.counters.persists += 1
-        if self.tracer is not None:
-            self.trace("persist", "NVM", key=key, ts=ts)
         if self.ckpt is not None:
             self.ckpt.on_persist(self)
 
@@ -471,7 +460,6 @@ class BaselineEngine(EngineBase):
         started = self.sim.now
         write_id = self.sim.next_write_id()  # unconditional: see client_write
         self.metrics.counters.writes_started += 1
-        self.trace("write", "start (EC)", key=key)
         if self.obs is not None:
             self.obs.op_begin(self.node_id, "write", write_id, key=key)
             self.obs.seg_begin(self.node_id, write_id, "lock_acquire")
@@ -514,18 +502,21 @@ class BaselineEngine(EngineBase):
             self._persist_record(key, value, ts, None)
         else:  # <EC, Event>
             self.spawn_bg(self._ec_background_persist(
-                key, value, ts, size=self.record_size(size)),
+                key, value, ts, write_id, size=self.record_size(size)),
                           name=self._persist_name)
         latency = self.sim.now - started
         self.metrics.record_write(latency)
-        self.trace("write", "complete (EC)", key=key, ts=ts,
-                   latency_s=latency)
         if self.obs is not None:
             self.obs.op_end(self.node_id, write_id)
         return WriteResult(key, ts, False, latency, write_id=write_id)
 
-    def _ec_background_persist(self, key, value, ts, size=None):
+    def _ec_background_persist(self, key, value, ts, write_id, size=None):
+        if self.obs is not None:
+            self.obs.seg_begin(self.node_id, write_id, "log_append")
         yield self.host.nvm.persist(size or self.params.record_size)
+        if self.obs is not None:
+            self.obs.seg_end(self.node_id, write_id, "log_append",
+                             background=True)
         self._persist_record(key, value, ts, None)
 
     def _ec_follower_inv(self, msg: Message):
@@ -543,11 +534,16 @@ class BaselineEngine(EngineBase):
         self.kv.volatile_write(msg.key, msg.value, msg.ts)
         meta.wrlock.release()
         if self.model.persist_in_critical_path:
+            if self.obs is not None:
+                self.obs.seg_begin(self.node_id, msg.write_id, "log_append")
             yield self.host.nvm.persist(self.record_size(msg))
+            if self.obs is not None:
+                self.obs.seg_end(self.node_id, msg.write_id, "log_append")
             self._persist_record(msg.key, msg.value, msg.ts, None)
         else:
             self.spawn_bg(
                 self._ec_background_persist(msg.key, msg.value, msg.ts,
+                                            msg.write_id,
                                             size=self.record_size(msg)),
                 name=self._persist_name)
 
@@ -604,8 +600,10 @@ class BaselineEngine(EngineBase):
         a VAL the coordinator cannot send until it gets the very ACK being
         re-requested."""
         self.metrics.counters.dedup_inv_hits += 1
-        self.trace("robust", "duplicate suppressed", type=msg.type.name,
-                   write_id=msg.write_id, resent=len(replies))
+        if self.obs is not None:
+            self.obs.instant(self.node_id, "duplicate_suppressed",
+                             op_id=msg.write_id, type=msg.type.name,
+                             resent=len(replies))
         for reply in list(replies):
             yield from self._send_control(msg.src, reply)
 
@@ -638,8 +636,6 @@ class BaselineEngine(EngineBase):
     def _follower_inv(self, msg: Message):
         """Fig. 2 lines 26-40 (Follower INV handling)."""
         handling_started = self.sim.now
-        if self.tracer is not None:
-            self.trace("follower", "INV received", key=msg.key, ts=msg.ts)
         if self.obs is not None:
             self.obs.seg_begin(self.node_id, msg.write_id, "inv_handle")
         params = self.params

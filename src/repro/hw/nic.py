@@ -21,8 +21,7 @@ Two of the Figure 12 ablation flags live here:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, List, Optional
 
@@ -30,9 +29,6 @@ from repro.errors import ConfigError
 from repro.hw.params import MachineParams
 from repro.sim.kernel import Simulator
 from repro.sim.network import Mailbox, Network, Packet, Port
-
-_envelope_ids = itertools.count()
-
 
 @dataclass(slots=True)
 class Envelope:
@@ -47,7 +43,6 @@ class Envelope:
     src_node: int
     dst: Optional[int] = None
     dests: Optional[List[int]] = None
-    envelope_id: int = field(default_factory=lambda: next(_envelope_ids))
     #: Simulated time the sender deposited the message in its send queue
     #: (start of "communication time" per the paper's §IV definition).
     deposited_at: float = -1.0

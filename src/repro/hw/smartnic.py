@@ -17,8 +17,7 @@ This module provides the hardware services those handlers use:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import ConfigError
@@ -28,9 +27,6 @@ from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import Mailbox, Network, Packet, Port
 from repro.sim.resources import BoundedBuffer, Resource, Store
-
-_entry_ids = itertools.count()
-
 
 @dataclass(slots=True)
 class FifoEntry:
@@ -47,7 +43,6 @@ class FifoEntry:
     #: Fires once the entry has drained (applied or skipped as obsolete).
     drained: Event = None  # type: ignore[assignment]
     skipped: bool = False
-    entry_id: int = field(default_factory=lambda: next(_entry_ids))
     #: Protocol write id the entry belongs to (observability correlation).
     op_id: Any = None
     #: Simulation time of the enqueue; stamped unconditionally in
@@ -109,8 +104,8 @@ class SmartNic:
         #: Crash flag: while halted the SNIC consumes and drops traffic
         #: instead of transmitting it (see :meth:`halt`).
         self.halted = False
-        #: Optional repro.obs.Observability (same no-op contract as the
-        #: engine's tracer); set via :meth:`attach_obs`.
+        #: Optional repro.obs.Observability (``None`` keeps every gauge
+        #: site at one attribute check); set via :meth:`attach_obs`.
         self.obs = None
         sim.spawn(self._tx_loop(), name=f"{self.endpoint}.tx")
 

@@ -1,5 +1,6 @@
-"""Exporters: Chrome trace-event JSON (Perfetto / ``chrome://tracing``)
-and a line-delimited JSON (JSONL) stream.
+"""Exporters: Chrome trace-event JSON (Perfetto / ``chrome://tracing``),
+a line-delimited JSON (JSONL) stream, and a plain-text swim-lane
+timeline (:func:`timeline`, what ``repro trace`` prints).
 
 The Chrome format is the de-facto interchange for span timelines: a
 top-level object with a ``traceEvents`` list of events, each carrying a
@@ -186,6 +187,51 @@ def write_jsonl(obs, path: str) -> int:
             handle.write("\n")
             count += 1
     return count
+
+
+# -- text timeline ----------------------------------------------------------
+
+#: Width of one node column in :func:`timeline`.
+_LANE_WIDTH = 24
+
+
+def timeline(obs) -> str:
+    """A per-node swim-lane rendering of everything *obs* recorded.
+
+    One row per span start and end (``write:start`` / ``write:end``),
+    per segment (at its start, with its duration) and per instant,
+    sorted by ``(time, node)``; each row's text sits in its node's
+    column.  Ties keep span starts before the segments they open and
+    span ends after them.
+    """
+    rows = []
+    spans = list(obs.spans.values())
+    for span in spans:
+        rows.append((span.start, span.node, f"{span.kind}:start"))
+    for segment in obs.segments:
+        rows.append((segment.start, segment.node,
+                     f"{segment.phase} {segment.duration * _US:.2f}us"))
+    for instant in obs.instants:
+        rows.append((instant.time, instant.node, instant.name))
+    for span in spans:
+        if span.end is not None:
+            status = "" if span.status == "ok" else f" ({span.status})"
+            rows.append((span.end, span.node, f"{span.kind}:end{status}"))
+    if not rows:
+        return "(no events)"
+    rows.sort(key=lambda row: (row[0], row[1]))
+    nodes = sorted({node for _, node, _ in rows})
+    lane = {node: index for index, node in enumerate(nodes)}
+    header = f"{'time (us)':>12s}  " + "  ".join(
+        f"{'node ' + str(n) if n >= 0 else 'fabric':<{_LANE_WIDTH}s}"
+        for n in nodes)
+    lines = [header, "-" * len(header)]
+    blank = " " * _LANE_WIDTH
+    for time, node, text in rows:
+        cells = [blank] * len(nodes)
+        cells[lane[node]] = f"{text[:_LANE_WIDTH]:<{_LANE_WIDTH}s}"
+        lines.append((f"{time * _US:12.3f}  " + "  ".join(cells)).rstrip())
+    return "\n".join(lines)
 
 
 # -- validation -------------------------------------------------------------

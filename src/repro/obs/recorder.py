@@ -1,12 +1,12 @@
 """The :class:`Observability` recorder: span/segment/metrics collection.
 
-One recorder serves a whole cluster (like :class:`repro.trace.Tracer`):
-engines, the fabric, the SmartNICs and the fault injector all hold a
-reference and call into it behind ``if self.obs is not None:`` guards.
+One recorder serves a whole cluster and is the only protocol-event
+sink: engines, the fabric, the SmartNICs, checkpointing, recovery and
+the fault injector all hold a reference and call into it behind
+``if self.obs is not None:`` guards.
 
-Zero-overhead contract (the same one the tracer documents): when no
-recorder is attached the only cost at a call site is the attribute
-check; when one *is* attached, every method here is record-only — list
+Zero-overhead contract: when no recorder is attached the only cost at a
+call site is the attribute check; when one *is* attached, every method here is record-only — list
 appends, dict updates, counter increments — and never creates events,
 processes, or timeouts, so the simulation calendar is byte-identical
 with and without the recorder (pinned by
@@ -42,9 +42,9 @@ class Observability:
         self.instants: List[Instant] = []
         self._open: Dict[Tuple[int, Any, str], Tuple[float, str]] = {}
         self._registries: Dict[int, MetricsRegistry] = {}
-        # Read op ids are minted here (negative), not from the protocol's
-        # global write_id counter: attaching the recorder must not shift
-        # the ids an unobserved run would assign.
+        # Read op ids are minted here (negative), not from the
+        # simulator's write_id counter: attaching the recorder must not
+        # shift the ids an unobserved run would assign.
         self._read_ids = itertools.count(1)
 
     # -- registries ----------------------------------------------------------

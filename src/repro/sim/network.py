@@ -11,17 +11,13 @@ destination mailbox.  Egress serialization at a single port is what makes
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Store
-
-_packet_ids = itertools.count()
-
 
 @dataclass(slots=True)
 class Packet:
@@ -38,7 +34,6 @@ class Packet:
     src: str
     dst: str
     kind: str = "data"
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
     sent_at: float = -1.0
     delivered_at: float = -1.0
 

@@ -8,10 +8,12 @@ its mutant gate; a rule that stops firing here has rotted.
 
 The anchors are exact source lines from the engines; if an engine
 refactor moves them, the ``replace`` helper fails loudly rather than
-silently testing nothing.
+silently testing nothing.  ``TestMetaRace`` also runs small synthetic
+engines through ``flow-meta-race`` to pin what counts as mediation.
 """
 
 import shutil
+import textwrap
 
 import pytest
 
@@ -124,3 +126,61 @@ class TestMetaRace:
         assert hits, "raw volatile_ts read on the SNIC ACK path must fire"
         assert any(f.symbol == "OffloadEngine._snic_on_ack"
                    for f in hits)
+
+    @staticmethod
+    def _engine(body):
+        return {BASELINE_ENGINE: textwrap.dedent(body)}
+
+    def test_unmediated_conflicting_access_flagged(self, finding_index):
+        index = finding_index(self._engine("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def reader(self, key, ts):
+                    meta = self.kv.meta(key)
+                    return meta.volatile_ts < ts
+
+                def writer(self, key, ts):
+                    meta = self.kv.meta(key)
+                    meta.set_volatile(ts)
+        """), only=["flow-meta-race"])
+        assert index["flow-meta-race"] == [(BASELINE_ENGINE, 7)]
+
+    def test_wrlock_span_mediates(self, finding_index):
+        index = finding_index(self._engine("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def reader(self, key, ts):
+                    meta = self.kv.meta(key)
+                    yield meta.wrlock.acquire()
+                    obsolete = meta.volatile_ts < ts
+                    meta.wrlock.release()
+                    return obsolete
+
+                def writer(self, key, ts):
+                    meta = self.kv.meta(key)
+                    meta.set_volatile(ts)
+        """), only=["flow-meta-race"])
+        assert "flow-meta-race" not in index
+
+    def test_fifo_drain_mediates(self, finding_index):
+        index = finding_index(self._engine("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def __init__(self, snic):
+                    snic.start_drains(self._vfifo_apply, self._dfifo_apply)
+
+                def _vfifo_apply(self, entry):
+                    meta = self.kv.meta(entry.key)
+                    return entry.ts < meta.volatile_ts
+
+                def _dfifo_apply(self, entry):
+                    pass
+
+                def writer(self, key, ts):
+                    meta = self.kv.meta(key)
+                    meta.set_volatile(ts)
+        """), only=["flow-meta-race"])
+        assert "flow-meta-race" not in index

@@ -1,5 +1,5 @@
-"""Metadata access analyzer: direct writes, durable-without-log, races,
-and the per-handler access table."""
+"""Metadata access analyzer: direct writes, durable-without-log, and
+the per-handler access table."""
 
 import textwrap
 
@@ -93,62 +93,6 @@ class TestDurableWithoutLog:
                         meta.set_glb_durable(msg.ts)
         """), only=["protocol"])
         assert "meta-durable-without-log" not in index
-
-
-class TestRace:
-    def test_unmediated_conflicting_access_flagged(self, finding_index):
-        index = finding_index(_engine("""
-            class EngineBase: pass
-
-            class BaselineEngine(EngineBase):
-                def reader(self, key, ts):
-                    meta = self.kv.meta(key)
-                    return meta.volatile_ts < ts
-
-                def writer(self, key, ts):
-                    meta = self.kv.meta(key)
-                    meta.set_volatile(ts)
-        """), only=["protocol"])
-        assert index["meta-race"] == [(ENGINE_PATH, 7)]
-
-    def test_wrlock_span_mediates(self, finding_index):
-        index = finding_index(_engine("""
-            class EngineBase: pass
-
-            class BaselineEngine(EngineBase):
-                def reader(self, key, ts):
-                    meta = self.kv.meta(key)
-                    yield meta.wrlock.acquire()
-                    obsolete = meta.volatile_ts < ts
-                    meta.wrlock.release()
-                    return obsolete
-
-                def writer(self, key, ts):
-                    meta = self.kv.meta(key)
-                    meta.set_volatile(ts)
-        """), only=["protocol"])
-        assert "meta-race" not in index
-
-    def test_fifo_drain_mediates(self, finding_index):
-        index = finding_index(_engine("""
-            class EngineBase: pass
-
-            class BaselineEngine(EngineBase):
-                def __init__(self, snic):
-                    snic.start_drains(self._vfifo_apply, self._dfifo_apply)
-
-                def _vfifo_apply(self, entry):
-                    meta = self.kv.meta(entry.key)
-                    return entry.ts < meta.volatile_ts
-
-                def _dfifo_apply(self, entry):
-                    pass
-
-                def writer(self, key, ts):
-                    meta = self.kv.meta(key)
-                    meta.set_volatile(ts)
-        """), only=["protocol"])
-        assert "meta-race" not in index
 
 
 class TestAccessTable:

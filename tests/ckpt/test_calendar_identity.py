@@ -1,7 +1,7 @@
 """Checkpointing off is calendar-transparent (acceptance criterion).
 
-The ``ckpt`` hook follows the attachment-point contract of the tracer /
-obs / robustness hooks: ``None`` (the default) keeps every site at one
+The ``ckpt`` hook follows the attachment-point contract of the obs /
+robustness hooks: ``None`` (the default) keeps every site at one
 attribute check, so a run that never enables checkpointing must produce
 a byte-identical event calendar to the pre-checkpointing build — and an
 *enabled-but-inert* manager (no interval, no watermark) must also add

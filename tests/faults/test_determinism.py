@@ -2,20 +2,20 @@
 
 Two regressions are pinned here:
 
-* the same seed + plan reproduces a chaotic run *exactly* — trace for
-  trace, counter for counter, byte for byte of final state;
+* the same seed + plan reproduces a chaotic run *exactly* — recorded
+  span, segment and instant for record (the obs JSONL stream), counter
+  for counter, byte for byte of final state;
 * installing a quiescent plan (no fault rates, no blind VAL re-sends)
   leaves the protocol's observable behavior identical to a run with no
   fault subsystem at all — the robustness timers arm but never fire a
   resend, so latencies match exactly.
 """
 
-import re
-
 from repro import LIN_STRICT, LIN_SYNCH, MINOS_B, MINOS_O, MinosCluster
 from repro.faults import (CrashWindow, FaultPlan, LinkFaults,
                           RetransmitPolicy, run_chaos)
 from repro.hw.params import DEFAULT_MACHINE, us
+from repro.obs import jsonl_events
 from repro.workloads.ycsb import YcsbWorkload
 
 
@@ -25,20 +25,15 @@ def chaotic_run(config, seed):
         crashes=(CrashWindow(node=3, at=us(80), restore_at=us(500)),))
     cluster = MinosCluster(model=LIN_SYNCH, config=config,
                            params=DEFAULT_MACHINE.with_nodes(4))
-    tracer = cluster.attach_tracer()
+    obs = cluster.attach_obs()
     workload = YcsbWorkload(records=20, requests_per_client=10,
                             write_fraction=0.8, seed=seed)
     result = run_chaos(cluster, plan, workload, clients_per_node=1)
     state = {(node.node_id, key): node.kv.volatile_read(key).ts
              for node in cluster.nodes
              for key in node.kv.metadata.keys()}
-    # write_ids are allocated from a process-global counter, so two runs
-    # in one process produce the same writes with offset ids — mask them.
-    def masked(event):
-        return re.sub(r"write_id=\d+", "write_id=*", str(event))
-
     return {
-        "traces": [masked(event) for event in tracer.events],
+        "traces": list(jsonl_events(obs)),
         "fault_counters": result.fault_counters.to_dict(),
         "latencies": cluster.metrics.write_latency.samples,
         "state": state,

@@ -26,8 +26,12 @@ class TestDecisions:
         out = inj.deliveries(packet(), when=0.0)
         assert len(out) == 2
         original, copy = out[0][0], out[1][0]
-        assert copy.packet_id != original.packet_id
+        assert copy is not original
         assert copy.payload == original.payload
+        # Delivery stamps per-packet timing: the copy's fields must be
+        # settable without touching the original's.
+        copy.sent_at, copy.delivered_at = 1.0, 2.0
+        assert (original.sent_at, original.delivered_at) == (-1.0, -1.0)
         assert inj.counters.duplicated == 1
 
     def test_certain_delay_shifts_arrival(self):
